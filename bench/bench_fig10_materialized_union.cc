@@ -89,7 +89,6 @@ void RunAttribute(const gt::TemporalGraph& graph, const std::string& dataset,
   json.Add("dataset", dataset);
   json.Add("attr", attr);
   json.Add("route", std::string(gt::engine::PlanRouteName(plan.route)));
-  json.Add("planner", std::string(gt::engine::PlannerModeName(plan.planner)));
   json.Add("engine_cold_ms", cold_ms);
   json.Add("engine_warm_ms", warm_ms);
   const gt::engine::QueryEngine::CacheStats cache = engine.cache_stats();

@@ -112,7 +112,6 @@ void RunEngineDerivation(const gt::TemporalGraph& graph) {
   const std::size_t n = graph.num_times();
 
   std::string route;
-  std::string planner;
   gt::engine::QuerySpec spec;
   for (const gt::AttrRef& attr : super_refs) {
     spec.op = gt::engine::TemporalOperatorKind::kUnion;
@@ -122,7 +121,6 @@ void RunEngineDerivation(const gt::TemporalGraph& graph) {
     spec.semantics = gt::AggregationSemantics::kAll;
     const gt::engine::QueryPlan plan = engine.Plan(spec);
     route = gt::engine::PlanRouteName(plan.route);
-    planner = gt::engine::PlannerModeName(plan.planner);
     DoNotOptimize(engine.Execute(spec).NodeCount());  // builds the roll-up layer
     engine.ClearCache();
     DoNotOptimize(engine.Execute(spec).NodeCount());  // re-derives from the layer
@@ -146,7 +144,6 @@ void RunEngineDerivation(const gt::TemporalGraph& graph) {
   gt::bench::JsonLine json("fig11_engine");
   json.Add("dataset", std::string("DBLP"));
   json.Add("route", route);
-  json.Add("planner", planner);
   json.Add("rollups", derivation.rollups);
   json.Add("rollup_hits", derivation.rollup_hits);
   json.Add("combines", derivation.combines);
@@ -164,14 +161,15 @@ void RunEngineDerivation(const gt::TemporalGraph& graph) {
 }
 
 /// The planner-flip point (docs/ENGINE.md §Cost model): a *single-point*
-/// subset query on a fresh engine. The fixed rule always takes the
-/// materialized route, paying a cold subset layer — one roll-up per store
-/// point — before combining the single requested point; the cost model
-/// prices that layer against one direct snapshot aggregation and flips to
-/// the direct kernel. Emits both routes and cold latencies as JSON: the
-/// flip shows as `rule_route != cost_route` with `cost_ms < rule_ms`.
+/// subset query on a fresh engine. Forcing the materialized route pays a cold
+/// subset layer — one roll-up per store point — before combining the single
+/// requested point; the cost model prices that layer against one direct
+/// snapshot aggregation and flips to the direct kernel. Emits both routes and
+/// cold latencies as JSON: the flip shows as `cost_route=direct` with
+/// `cost_ms < materialized_ms`.
 void RunPlannerFlip(const gt::TemporalGraph& graph) {
-  std::printf("\nDBLP single-point subset query, rule vs cost planner (cold):\n");
+  std::printf("\nDBLP single-point subset query, forced materialized vs cost-chosen "
+              "route (cold):\n");
   std::vector<gt::AttrRef> super_refs =
       gt::ResolveAttributes(graph, {"gender", "publications"});
   const std::size_t n = graph.num_times();
@@ -183,34 +181,35 @@ void RunPlannerFlip(const gt::TemporalGraph& graph) {
   spec.attrs = {super_refs[0]};  // strict subset of the store: needs a roll-up
   spec.semantics = gt::AggregationSemantics::kAll;
 
-  auto cold_run = [&](gt::engine::PlannerMode mode, std::string* route) {
+  auto cold_run = [&](const gt::engine::QueryEngine::PlanOptions& options,
+                      std::string* route) {
     double best_ms = 0.0;
     for (int rep = 0; rep < 3; ++rep) {  // fresh engine per rep; keep the min
-      gt::engine::QueryEngine::Config config;
-      config.planner = mode;
-      gt::engine::QueryEngine engine(&graph, config);
+      gt::engine::QueryEngine engine(&graph);
       engine.EnableMaterialization(super_refs);
-      *route = gt::engine::PlanRouteName(engine.Plan(spec).route);
+      *route = gt::engine::PlanRouteName(engine.Plan(spec, options).route);
       gt::Stopwatch watch;
       watch.Start();
-      DoNotOptimize(engine.Execute(spec).NodeCount());
+      DoNotOptimize(engine.Execute(spec, options).NodeCount());
       const double ms = watch.ElapsedMillis();
       if (rep == 0 || ms < best_ms) best_ms = ms;
     }
     return best_ms;
   };
 
-  std::string rule_route, cost_route;
-  const double rule_ms = cold_run(gt::engine::PlannerMode::kRule, &rule_route);
-  const double cost_ms = cold_run(gt::engine::PlannerMode::kCost, &cost_route);
-  std::printf("  rule: %-12s %8.3f ms   cost: %-12s %8.3f ms\n", rule_route.c_str(),
-              rule_ms, cost_route.c_str(), cost_ms);
+  gt::engine::QueryEngine::PlanOptions forced;
+  forced.force_route = gt::engine::PlanRoute::kMaterializedDerivation;
+  std::string materialized_route, cost_route;
+  const double materialized_ms = cold_run(forced, &materialized_route);
+  const double cost_ms = cold_run({}, &cost_route);
+  std::printf("  forced: %-12s %8.3f ms   cost: %-12s %8.3f ms\n",
+              materialized_route.c_str(), materialized_ms, cost_route.c_str(), cost_ms);
 
   gt::bench::JsonLine json("fig11_planner_flip");
   json.Add("dataset", std::string("DBLP"));
-  json.Add("rule_route", rule_route);
+  json.Add("materialized_route", materialized_route);
   json.Add("cost_route", cost_route);
-  json.Add("rule_ms", rule_ms);
+  json.Add("materialized_ms", materialized_ms);
   json.Add("cost_ms", cost_ms);
   json.Print();
 }

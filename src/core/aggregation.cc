@@ -462,10 +462,8 @@ AggregateGraph Aggregate(const TemporalGraph& graph, const GraphView& view,
 }
 
 GroupingResolution ResolveGrouping(const TemporalGraph& graph,
-                                   std::span<const AttrRef> attrs,
-                                   GroupingStrategy requested) {
+                                   std::span<const AttrRef> attrs) {
   GroupingResolution resolution;
-  if (requested == GroupingStrategy::kHash) return resolution;
   std::optional<DensePacker> packer =
       DensePacker::Create(graph, attrs, kDenseNodeCellsMax);
   resolution.dense_nodes = packer.has_value();

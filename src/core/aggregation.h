@@ -182,9 +182,9 @@ struct AggregationOptions {
 };
 
 /// Which grouping paths Algorithm 2 will take for `attrs` on `graph` under
-/// `requested` — the same domain-size inspection `Aggregate` performs, exposed
-/// so the query planner can render its grouping decision in
-/// `QueryPlan::Explain` without running the aggregation (docs/ENGINE.md).
+/// `GroupingStrategy::kAuto` — the same domain-size inspection `Aggregate`
+/// performs, exposed so the query planner can render its grouping decision
+/// in `QueryPlan::Explain` without running the aggregation (docs/ENGINE.md).
 /// Pure dictionary arithmetic; no data scan.
 struct GroupingResolution {
   bool dense_nodes = false;  ///< node side uses the flat dense table
@@ -192,8 +192,7 @@ struct GroupingResolution {
 };
 
 GroupingResolution ResolveGrouping(const TemporalGraph& graph,
-                                   std::span<const AttrRef> attrs,
-                                   GroupingStrategy requested);
+                                   std::span<const AttrRef> attrs);
 
 /// Evaluates the attribute tuple of node `n` at time `t` for the given
 /// aggregation attributes.

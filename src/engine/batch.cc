@@ -128,14 +128,10 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(std::span<const BatchItem> it
         items[j].ctx->fingerprint.store(fingerprints[j], std::memory_order_relaxed);
         items[j].ctx->cache.store("hit", std::memory_order_relaxed);
         if (items[i].ctx != nullptr) {
-          // The merged answer came from item i's execution: its route and
-          // planner attribution are this item's too (the slow-query record
-          // requires both to be non-empty).
+          // The merged answer came from item i's execution: its route is
+          // this item's too (the slow-query record requires it non-empty).
           items[j].ctx->route.store(
               items[i].ctx->route.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-          items[j].ctx->planner.store(
-              items[i].ctx->planner.load(std::memory_order_relaxed),
               std::memory_order_relaxed);
         }
       }

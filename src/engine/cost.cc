@@ -2,29 +2,6 @@
 
 namespace graphtempo::engine {
 
-const char* PlannerModeName(PlannerMode mode) {
-  switch (mode) {
-    case PlannerMode::kRule: return "rule";
-    case PlannerMode::kCost: return "cost";
-  }
-  return "?";
-}
-
-bool ParsePlannerMode(const std::string& text, PlannerMode* mode, std::string* error) {
-  if (text == "rule") {
-    *mode = PlannerMode::kRule;
-    return true;
-  }
-  if (text == "cost") {
-    *mode = PlannerMode::kCost;
-    return true;
-  }
-  if (error != nullptr) {
-    *error = "unknown planner '" + text + "' (expected rule or cost)";
-  }
-  return false;
-}
-
 const CostModel& CostModel::Default() {
   static const CostModel model;
   return model;
@@ -44,7 +21,7 @@ CostEstimate EstimateCost(const CostInputs& inputs, const CostModel& model) {
                         points * (model.combine_per_point_us +
                                   groups * model.combine_per_group_us);
   if (inputs.needs_rollup && !inputs.layer_memoized) {
-    // The losing case of the fixed rule: a cold subset layer is built over
+    // Always deriving's losing case: a cold subset layer is built over
     // *every* store point before the first point can be combined.
     materialized += static_cast<double>(inputs.total_points) *
                     (model.rollup_per_point_us + groups * model.rollup_per_group_us);

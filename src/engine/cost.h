@@ -3,21 +3,19 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 /// \file
 /// The planner's cost model (docs/ENGINE.md §Cost model).
 ///
-/// The fixed planning rule — "derivable ⇒ materialized" — encodes the §4.3
-/// average: weight summation over per-time-point aggregates usually beats
-/// re-running the kernels. But the paper's own materialization study shows
-/// the margin depends on interval length × live-entity counts, and the rule
-/// has a genuine losing case: a *short* interval over an attribute subset
-/// whose roll-up layer is not memoized yet pays `num_times` roll-ups to
-/// answer a one-point question. The cost model prices both routes from cheap
-/// `PresenceIndex` cardinality accessors (AppearancesOver / MaxCountOver —
-/// O(points) array reads) and the store's group counts, so the planner can
-/// route each query instead of every query.
+/// A derivable spec has two routes: weight summation over the per-time-point
+/// aggregates (§4.3) or re-running the kernels. Summation usually wins, but
+/// the paper's own materialization study shows the margin depends on
+/// interval length × live-entity counts, and derivation has a genuine losing
+/// case: a *short* interval over an attribute subset whose roll-up layer is
+/// not memoized yet pays `num_times` roll-ups to answer a one-point question.
+/// The cost model prices both routes from cheap `PresenceIndex` cardinality
+/// accessors (AppearancesOver / MaxCountOver — O(points) array reads) and the
+/// store's group counts, so the planner routes each query on its own.
 ///
 /// Estimates are *microseconds*, but only their ordering matters. The
 /// constants were calibrated against the repo's own bench JSON on the
@@ -32,24 +30,8 @@
 
 namespace graphtempo::engine {
 
-/// How the planner picks between the direct and materialized routes.
-enum class PlannerMode : std::uint8_t {
-  /// The historical fixed rule: derivable ⇒ materialized. The escape hatch
-  /// (`--planner rule`) and the default for embedded engines, so existing
-  /// counter-exact callers (the OLAP cube, the differential suites) keep
-  /// byte-identical behavior.
-  kRule,
-  /// Price both routes with `EstimateCost` and take the cheaper one. The
-  /// default for the CLI and the server.
-  kCost,
-};
-
-/// "rule" / "cost".
-const char* PlannerModeName(PlannerMode mode);
-
-/// Parses "rule" / "cost"; anything else fails with a diagnostic naming the
-/// accepted spellings (the CLI and server surface it verbatim).
-bool ParsePlannerMode(const std::string& text, PlannerMode* mode, std::string* error);
+/// One value, kept only for `perfbench/gtperf.cc`'s `Config::planner` assignment.
+enum class PlannerMode : std::uint8_t { kCost };
 
 /// Calibrated per-unit costs (microseconds). See the file comment for where
 /// the numbers come from; `Default()` returns the calibrated singleton.

@@ -54,10 +54,6 @@ obs::Counter& StaleFallbackCounter() {
   static obs::Counter& c = obs::Registry::Instance().GetCounter("engine/stale_fallback");
   return c;
 }
-obs::Counter& CostPlanCounter() {
-  static obs::Counter& c = obs::Registry::Instance().GetCounter("engine/cost_plan");
-  return c;
-}
 obs::Counter& CostRouteFlipCounter() {
   static obs::Counter& c = obs::Registry::Instance().GetCounter("engine/cost_route_flip");
   return c;
@@ -299,7 +295,7 @@ CostInputs QueryEngine::CostInputsLocked(const QuerySpec& spec, bool derivable,
   }
   // A strict attribute subset answers through a per-time-point roll-up
   // layer; if that layer is cold, the derivation pays for building it over
-  // *every* store point — the fixed rule's losing case.
+  // *every* store point — always deriving's losing case.
   inputs.needs_rollup = keep.size() < store_->attrs().size();
   if (inputs.needs_rollup) {
     std::vector<std::size_t> canonical(keep.begin(), keep.end());
@@ -323,7 +319,6 @@ QueryPlan QueryEngine::PlanLocked(const QuerySpec& spec,
   QueryPlan plan;
   plan.fingerprint = spec.Fingerprint();
   plan.cacheable = spec.Cacheable();
-  plan.planner = config_.planner;
 
   if (spec.kind == QueryKind::kEvolution) {
     GT_CHECK(!spec.attrs.empty()) << "spec needs at least one aggregation attribute";
@@ -371,15 +366,12 @@ QueryPlan QueryEngine::PlanLocked(const QuerySpec& spec,
     GT_CHECK(*options.force_route != PlanRoute::kMaterializedDerivation || derivable)
         << "cannot force the materialized route: spec is not derivable";
     plan.route = *options.force_route;
-  } else if (config_.planner == PlannerMode::kCost) {
-    CostPlanCounter().Increment();
+  } else {
     const bool derive = derivable && plan.cost.MaterializedWins();
-    // A "flip" is a decision the fixed rule would have made differently —
-    // the rule derives whenever it can.
+    // A "flip": the spec is derivable, but the cost model prices the direct
+    // route cheaper.
     if (derivable && !derive) CostRouteFlipCounter().Increment();
     plan.route = derive ? PlanRoute::kMaterializedDerivation : PlanRoute::kDirectKernel;
-  } else {
-    plan.route = derivable ? PlanRoute::kMaterializedDerivation : PlanRoute::kDirectKernel;
   }
 
   // Graceful degradation: a derivable spec cannot be served from a store that
@@ -409,8 +401,7 @@ QueryPlan QueryEngine::PlanLocked(const QuerySpec& spec,
       plan.steps.push_back({"roll-up", "keep=" + JoinPositions(plan.keep_positions)});
     }
   } else {
-    const GroupingResolution resolution =
-        ResolveGrouping(*graph_, spec.attrs, spec.grouping);
+    const GroupingResolution resolution = ResolveGrouping(*graph_, spec.attrs);
     plan.dense_nodes = resolution.dense_nodes;
     plan.dense_edges = resolution.dense_edges;
     if (obs::RequestContext* ctx = obs::CurrentRequestContext()) {
@@ -504,7 +495,6 @@ QueryResult QueryEngine::ExecuteLocked(const QuerySpec& spec, const PlanOptions&
   if (ctx != nullptr) {
     ctx->fingerprint.store(plan.fingerprint, std::memory_order_relaxed);
     ctx->route.store(PlanRouteName(plan.route), std::memory_order_relaxed);
-    ctx->planner.store(PlannerModeName(plan.planner), std::memory_order_relaxed);
   }
 
   if (!plan.cacheable || config_.cache_capacity == 0) {
@@ -679,7 +669,6 @@ AggregateGraph QueryEngine::RunDirect(const QuerySpec& spec, const QueryPlan& /*
   AggregationOptions options;
   options.semantics = spec.semantics;
   options.filter = spec.filter;
-  options.grouping = spec.grouping;
   AggregateGraph result;
   {
     GT_SPAN("engine/aggregate", {{"nodes", view.NodeCount()}, {"edges", view.EdgeCount()}});

@@ -40,11 +40,11 @@
 ///     gracefully: the planner falls back to the direct route and bumps
 ///     `engine/stale_fallback`.
 ///
-/// *Which* route wins for a derivable spec is decided by the configured
-/// planner mode (engine/cost.h): `kRule` always derives (the historical
-/// fixed rule), `kCost` prices both routes from interval length × live-entity
-/// counts and picks the cheaper — the plan carries both estimates either way,
-/// so `Explain()` always shows the counterfactual.
+/// *Which* route wins for a derivable spec is decided by the cost model
+/// (engine/cost.h): it prices both routes from interval length × live-entity
+/// counts and picks the cheaper. The plan carries both estimates, so
+/// `Explain()` always shows the route not taken. `PlanOptions::force_route`
+/// is the only way to override it.
 ///
 /// The *executor* runs the plan under GT_SPAN instrumentation (one span per
 /// plan step, mirroring `QueryPlan::Explain`) and memoizes:
@@ -120,11 +120,8 @@ class QueryEngine {
     /// the derivation layers still memoize.
     std::size_t cache_capacity = 64;
 
-    /// Route-selection policy for derivable specs (engine/cost.h). The
-    /// library default stays `kRule` — the historical always-derive rule —
-    /// so embedding code sees zero behaviour change; the CLI and server
-    /// default to `kCost` and expose `--planner rule` as the escape hatch.
-    PlannerMode planner = PlannerMode::kRule;
+    /// Read by nothing; kept only for `perfbench/gtperf.cc`'s assignment.
+    PlannerMode planner = PlannerMode::kCost;
 
     /// Spill directory for the cold tier (docs/STORAGE.md §Spill tier).
     /// Empty disables spilling: evicted roll-up layers and result-cache
@@ -142,7 +139,6 @@ class QueryEngine {
   QueryEngine(const TemporalGraph* graph, Config config);
 
   const TemporalGraph& graph() const { return *graph_; }
-  PlannerMode planner_mode() const { return config_.planner; }
 
   // --- Materialization (Section 4.3 base layer) ---
 

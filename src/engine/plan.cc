@@ -22,12 +22,10 @@ std::string QueryPlan::Explain() const {
   if (stale_fallback) out += "(stale-store-fallback)";
   out += "  cache=";
   out += cacheable ? "eligible" : "bypass(filter)";
-  out += "  planner=";
-  out += PlannerModeName(planner);
   out += "\n";
   {
-    // Both route estimates, so the decision is inspectable under either
-    // planner mode ("what would the cost model have done?").
+    // Both route estimates, so the decision is inspectable — also when
+    // `force_route` overrode it.
     char line[96];
     if (cost.materialized_us >= 0.0) {
       std::snprintf(line, sizeof(line), "estimate direct=%.1fus materialized=%.1fus\n",

@@ -51,18 +51,15 @@ struct QueryPlan {
   /// and bumps the `engine/stale_fallback` counter.
   bool stale_fallback = false;
 
-  /// Which planner produced the route decision (engine/cost.h).
-  PlannerMode planner = PlannerMode::kRule;
-
-  /// Priced routes (microseconds; ordering is what matters). The estimates
-  /// are computed under both planner modes so `Explain()` always shows what
-  /// the cost model *would* choose; `cost.materialized_us < 0` means the
-  /// materialized route was unavailable for this spec.
+  /// Priced routes (microseconds; ordering is what matters) — the cost
+  /// planner's inputs, kept so `Explain()` shows the route not taken too;
+  /// `cost.materialized_us < 0` means the materialized route was unavailable
+  /// for this spec.
   CostEstimate cost;
 
   /// Direct route: the grouping paths Algorithm 2 will take (dense vs hash,
-  /// resolved from the requested GroupingStrategy and the dictionary
-  /// domains). Meaningless for the materialized route.
+  /// resolved automatically from the dictionary domains). Meaningless for
+  /// the materialized route.
   bool dense_nodes = false;
   bool dense_edges = false;
 
@@ -76,7 +73,7 @@ struct QueryPlan {
 
   /// Multi-line rendering:
   ///
-  ///   plan fingerprint=0x9c0ffee…  route=materialized  cache=eligible  planner=cost
+  ///   plan fingerprint=0x9c0ffee…  route=materialized  cache=eligible
   ///   estimate direct=41.2us materialized=5.3us
   ///     1. combine    store=(gender,publications) points=5
   ///     2. roll-up    keep=[0]

@@ -127,8 +127,6 @@ std::uint64_t QuerySpec::Fingerprint() const {
   std::uint64_t h = kFnvOffset;
   HashByte(&h, static_cast<std::uint8_t>(op));
   HashByte(&h, static_cast<std::uint8_t>(semantics));
-  // `grouping` is intentionally not hashed: dense vs hash is an execution
-  // hint with bit-identical results, so both spellings share a cache slot.
   HashByte(&h, symmetrize ? 1 : 0);
   HashAttrs(&h, attrs);  // same byte sequence as the historical inline loop
   HashInterval(&h, t1);
@@ -164,7 +162,6 @@ bool QuerySpec::EquivalentTo(const QuerySpec& other) const {
            SameSelector(explore.selector, other.explore.selector) &&
            t1.SameMembers(other.t1);
   }
-  // `grouping` is a hint, not part of the query's identity (see Fingerprint).
   // Intervals compare by membership, not domain size, so a spec bound before
   // a time point was appended still matches its re-bound twin afterwards.
   return op == other.op && semantics == other.semantics &&

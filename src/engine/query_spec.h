@@ -70,7 +70,6 @@ struct QuerySpec {
 
   std::vector<AttrRef> attrs;
   AggregationSemantics semantics = AggregationSemantics::kDistinct;
-  GroupingStrategy grouping = GroupingStrategy::kAuto;
 
   /// Optional appearance filter. A non-null filter is an opaque function: the
   /// planner refuses derivation routes and the executor bypasses the result
@@ -83,7 +82,7 @@ struct QuerySpec {
   /// kExplore only: the full exploration request (event, extension
   /// semantics, reference end, entity selector, threshold k). For explore
   /// specs `t1` must be the graph's full time domain (the sweep reads every
-  /// point) and `op`/`semantics`/`grouping`/`symmetrize` are ignored;
+  /// point) and `op`/`semantics`/`symmetrize` are ignored;
   /// `attrs` mirrors `explore.selector.attrs` for uniform rendering.
   ExplorationSpec explore;
 
@@ -107,10 +106,7 @@ struct QuerySpec {
 
   /// Stable 64-bit FNV-1a over (op, semantics, symmetrize, attrs, t1, t2)
   /// with t2 normalized to empty for kProject. Independent of process,
-  /// pointer values and map iteration order. `grouping` is deliberately
-  /// excluded: it is an execution hint — dense and hash grouping are
-  /// bit-identical (pinned by the determinism suite) — so specs differing
-  /// only in the hint share one cache entry. kAggregate specs hash exactly
+  /// pointer values and map iteration order. kAggregate specs hash exactly
   /// the historical byte sequence (cached fingerprints survive this
   /// refactor); evolution and explore specs prepend a kind tag so the
   /// families can never collide with aggregates by construction.

@@ -380,25 +380,6 @@ std::optional<QuerySpec> BindQuerySpec(const TemporalGraph& graph,
     return std::nullopt;
   }
 
-  std::string grouping = "auto";
-  if (const json::Value* value = request.Find("grouping")) {
-    if (!value->is_string()) {
-      *error = "'grouping' must be a string";
-      return std::nullopt;
-    }
-    grouping = value->AsString();
-  }
-  if (grouping == "auto") {
-    spec.grouping = GroupingStrategy::kAuto;
-  } else if (grouping == "dense") {
-    spec.grouping = GroupingStrategy::kDense;
-  } else if (grouping == "hash") {
-    spec.grouping = GroupingStrategy::kHash;
-  } else {
-    *error = "'grouping' must be auto, dense or hash, got '" + grouping + "'";
-    return std::nullopt;
-  }
-
   if (const json::Value* value = request.Find("symmetrize")) {
     if (!value->is_bool()) {
       *error = "'symmetrize' must be a bool";
@@ -601,7 +582,6 @@ std::string PlanToJson(const QueryPlan& plan) {
   response.Set("route", json::Value::String(PlanRouteName(plan.route)));
   response.Set("cacheable", json::Value::Bool(plan.cacheable));
   response.Set("stale_fallback", json::Value::Bool(plan.stale_fallback));
-  response.Set("planner", json::Value::String(PlannerModeName(plan.planner)));
   response.Set("cost_direct_us", json::Value::Number(plan.cost.direct_us));
   if (plan.cost.materialized_us >= 0.0) {
     response.Set("cost_materialized_us", json::Value::Number(plan.cost.materialized_us));

@@ -29,7 +29,6 @@
 ///   "t2": "2008",                   // optional; defaults like the CLI's --t2
 ///   "attrs": ["gender"],            // required, 1..kMaxAttrs names
 ///   "semantics": "dist",            // dist|all            (default dist)
-///   "grouping": "auto",             // auto|dense|hash     (default auto)
 ///   "symmetrize": false,            // default false
 ///   "explain": false,               // plan only, no execution
 ///   "top": 32                       // cap result rows     (default: all)
@@ -80,8 +79,8 @@ struct RequestOptions {
 /// Binds one parsed request object to a `QuerySpec` against `graph`'s time
 /// domain and attribute tables. On failure sets `*error` and returns nullopt.
 /// The binding matches the CLI flag-for-field: omitted `t2` falls back to
-/// `t1` for binary operators, `semantics`/`grouping`/`symmetrize` default
-/// like their flags.
+/// `t1` for binary operators, `semantics`/`symmetrize` default like their
+/// flags. Unknown keys are ignored.
 std::optional<QuerySpec> BindQuerySpec(const TemporalGraph& graph,
                                        const json::Value& request,
                                        RequestOptions* options, std::string* error);
@@ -112,8 +111,8 @@ std::string QueryResultToJson(const TemporalGraph& graph, const QuerySpec& spec,
                               const QueryPlan& plan, const QueryResult& result,
                               std::size_t top);
 
-/// Serializes a plan (the `--explain` answer): fingerprint, route, planner,
-/// both cost estimates, and the step list as rendered text lines. Round-trips
+/// Serializes a plan (the `--explain` answer): fingerprint, route, both cost
+/// estimates, and the step list as rendered text lines. Round-trips
 /// every field `QueryPlan::Explain` renders, cost-routed plans included.
 std::string PlanToJson(const QueryPlan& plan);
 

@@ -55,7 +55,6 @@ class RequestContext {
   std::atomic<const char*> route{""};             ///< "direct" | "materialized"
   std::atomic<const char*> cache{""};             ///< "hit" | "miss" | "bypass"
   std::atomic<const char*> grouping{""};          ///< "dense" | "hash"
-  std::atomic<const char*> planner{""};           ///< "rule" | "cost"
   std::atomic<bool> stale_fallback{false};
   std::atomic<bool> batched{false};               ///< served inside a gather batch
   std::atomic<std::uint64_t> shared_fold_hits{0};    ///< batch fold-cache hits

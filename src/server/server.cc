@@ -254,7 +254,7 @@ void Server::HandleConnection(int fd) {
 
     // Bind a request context for the whole dispatch: spans recorded on this
     // thread (and on pool lanes working for it) attribute to this query ID,
-    // and the engine fills in route/cache/planner for the slow-query record.
+    // and the engine fills in route/cache for the slow-query record.
     obs::RequestContext context(SanitizeClientRequestId(*request));
     obs::ScopedRequestContext bind(&context);
 
@@ -507,10 +507,7 @@ HttpResponse Server::HandleStats() {
   cache_json.Set("evictions", json::Value::Number(cache.evictions));
   cache_json.Set("invalidations", json::Value::Number(cache.invalidations));
   body.Set("cache", std::move(cache_json));
-  // Route-selection policy and the batch gather window, so a client can tell
-  // which planner produced the routes it observes and whether batching is on.
-  body.Set("planner",
-           json::Value::String(engine::PlannerModeName(engine_->planner_mode())));
+  // The batch gather window, so a client can tell whether batching is on.
   body.Set("batch_window_us", json::Value::Number(
                                   static_cast<std::int64_t>(config_.batch_window_us)));
   auto counter = [](const char* name) {
@@ -599,8 +596,6 @@ void Server::RecordSlowQuery(const obs::RequestContext& context,
   record.Set("spec", json::Value::String(spec_text));
   record.Set("route",
              json::Value::String(context.route.load(std::memory_order_relaxed)));
-  record.Set("planner",
-             json::Value::String(context.planner.load(std::memory_order_relaxed)));
   record.Set("stale_fallback", json::Value::Bool(context.stale_fallback.load(
                                    std::memory_order_relaxed)));
   record.Set("batched",

@@ -180,8 +180,12 @@ class ThreadPool {
       std::shared_ptr<Job> job;
       {
         std::unique_lock<std::mutex> lock(mutex_);
-        work_available_.wait(lock, [&] { return FindRunnableLocked() != nullptr; });
-        job = FindRunnableLocked();
+        // Keep the job the predicate found: owners claim chunks without the
+        // mutex, so a second lookup may find the queue exhausted.
+        work_available_.wait(lock, [&] {
+          job = FindRunnableLocked();
+          return job != nullptr;
+        });
       }
       Work(*job);
     }
@@ -220,20 +224,6 @@ bool ParseThreadCount(std::string_view text, std::size_t* threads, std::string* 
   }
   *threads = static_cast<std::size_t>(parsed);
   return true;
-}
-
-PoolStats GetPoolStats() {
-  PoolStats stats;
-  stats.jobs = PoolJobsCounter().Value();
-  stats.chunks = PoolChunksCounter().Value();
-  return stats;
-}
-
-void ResetPoolStats() {
-  // Resets only the pool's two registry counters; the core exec counters are
-  // untouched (ResetExecCounters zeroes the whole registry in one generation).
-  PoolJobsCounter().Reset();
-  PoolChunksCounter().Reset();
 }
 
 ParallelPartition::ParallelPartition(std::size_t count, std::size_t min_per_chunk,

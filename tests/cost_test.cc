@@ -3,11 +3,10 @@
 /// Pinned contracts:
 ///   * `EstimateCost` is monotonic in interval length — more evaluation
 ///     points (and the appearances they bring) never lower either estimate;
-///   * forced `--planner rule` reproduces the historical fixed rule exactly:
-///     every derivable spec takes the materialized route, byte-identically;
-///   * the cost planner flips the rule's losing case — a short interval over
-///     a cold attribute subset — to the direct route, and both planners
-///     return bit-identical answers either way.
+///   * `force_route` pins the materialized route on every derivable spec;
+///   * the cost planner flips always-deriving's losing case — a short
+///     interval over a cold attribute subset — to the direct route, and the
+///     cost-chosen and forced routes return bit-identical answers.
 
 #include "engine/cost.h"
 
@@ -26,9 +25,6 @@ using engine::CostEstimate;
 using engine::CostInputs;
 using engine::CostModel;
 using engine::EstimateCost;
-using engine::ParsePlannerMode;
-using engine::PlannerMode;
-using engine::PlannerModeName;
 using engine::PlanRoute;
 using engine::QueryEngine;
 using engine::QueryPlan;
@@ -87,22 +83,8 @@ TEST(CostModelTest, ColdRollupLayerIsPricedOverEveryStorePoint) {
   EXPECT_NEAR(cold.materialized_us - memoized.materialized_us, layer_cost, 1e-9);
 }
 
-TEST(CostModelTest, PlannerModeNamesRoundTrip) {
-  EXPECT_STREQ(PlannerModeName(PlannerMode::kRule), "rule");
-  EXPECT_STREQ(PlannerModeName(PlannerMode::kCost), "cost");
-  PlannerMode mode = PlannerMode::kCost;
-  std::string error;
-  EXPECT_TRUE(ParsePlannerMode("rule", &mode, &error));
-  EXPECT_EQ(mode, PlannerMode::kRule);
-  EXPECT_TRUE(ParsePlannerMode("cost", &mode, &error));
-  EXPECT_EQ(mode, PlannerMode::kCost);
-  EXPECT_FALSE(ParsePlannerMode("bogus", &mode, &error));
-  EXPECT_NE(error.find("bogus"), std::string::npos);
-  EXPECT_NE(error.find("rule"), std::string::npos);
-}
-
-/// A graph + store where both planner modes have real work to disagree on:
-/// two attributes materialized, so single-attribute specs need a roll-up.
+/// A graph + store where the two routes have real work to disagree on: two
+/// attributes materialized, so single-attribute specs need a roll-up.
 /// Dense-ish and long (many appearances per point, 40 time points) so the
 /// routes separate cleanly on both sides of the boundary: a cold roll-up
 /// layer spans 40 points (direct wins the one-point query), while the
@@ -127,32 +109,27 @@ class PlannerRoutingTest : public ::testing::Test {
     return spec;
   }
 
-  static QueryEngine::Config ConfigFor(PlannerMode mode) {
-    QueryEngine::Config config;
-    config.planner = mode;
-    return config;
-  }
-
   TemporalGraph graph_;
 };
 
-TEST_F(PlannerRoutingTest, RulePlannerReproducesHistoricalRoutes) {
-  QueryEngine engine(&graph_, ConfigFor(PlannerMode::kRule));
+TEST_F(PlannerRoutingTest, ForcedMaterializedRouteDerivesEveryDerivableSpec) {
+  QueryEngine engine(&graph_);
   engine.EnableMaterialization(ResolveAttributes(graph_, {"color", "level"}));
-  // Every derivable spec — full set or subset, short or long interval —
-  // takes the materialized route under the fixed rule, exactly as before
-  // the cost model existed.
+  // `force_route` overrides the cost model: every derivable spec — full set
+  // or subset, short or long interval — then takes the materialized route,
+  // and the plan still carries both estimates.
+  QueryEngine::PlanOptions forced;
+  forced.force_route = PlanRoute::kMaterializedDerivation;
   const std::vector<std::vector<std::string>> attr_sets = {
       {"color", "level"}, {"color"}, {"level"}};
   for (const auto& attrs : attr_sets) {
     for (std::size_t last : {std::size_t{0}, std::size_t{3}, std::size_t{39}}) {
       const QuerySpec spec = SpecOver(0, last, attrs);
-      const QueryPlan plan = engine.Plan(spec);
-      EXPECT_EQ(plan.planner, PlannerMode::kRule);
       ASSERT_TRUE(engine.Derivable(spec));
+      const QueryPlan plan = engine.Plan(spec, forced);
       EXPECT_EQ(plan.route, PlanRoute::kMaterializedDerivation)
-          << "rule planner must always derive (attrs=" << attrs.size()
-          << ", last=" << last << ")";
+          << "forced route ignored (attrs=" << attrs.size() << ", last=" << last << ")";
+      EXPECT_EQ(plan.cost.materialized_us, engine.Plan(spec).cost.materialized_us);
     }
   }
   // A spec that is not derivable stays on the direct kernel.
@@ -164,13 +141,12 @@ TEST_F(PlannerRoutingTest, RulePlannerReproducesHistoricalRoutes) {
 }
 
 TEST_F(PlannerRoutingTest, CostPlannerFlipsShortColdSubsetToDirect) {
-  QueryEngine engine(&graph_, ConfigFor(PlannerMode::kCost));
+  QueryEngine engine(&graph_);
   engine.EnableMaterialization(ResolveAttributes(graph_, {"color", "level"}));
   // One point, subset attrs, no memoized layer: the materialized route would
   // build a 40-point roll-up layer to answer a 1-point question.
   const QuerySpec short_subset = SpecOver(0, 0, {"color"});
   const QueryPlan flip = engine.Plan(short_subset);
-  EXPECT_EQ(flip.planner, PlannerMode::kCost);
   ASSERT_TRUE(engine.Derivable(short_subset));
   EXPECT_EQ(flip.route, PlanRoute::kDirectKernel)
       << "cost planner must not pay a cold roll-up layer for one point";
@@ -187,31 +163,38 @@ TEST_F(PlannerRoutingTest, CostPlannerFlipsShortColdSubsetToDirect) {
   EXPECT_TRUE(keep.cost.MaterializedWins());
 }
 
-TEST_F(PlannerRoutingTest, BothPlannersReturnIdenticalAnswers) {
-  QueryEngine rule_engine(&graph_, ConfigFor(PlannerMode::kRule));
-  rule_engine.EnableMaterialization(ResolveAttributes(graph_, {"color", "level"}));
-  QueryEngine cost_engine(&graph_, ConfigFor(PlannerMode::kCost));
-  cost_engine.EnableMaterialization(ResolveAttributes(graph_, {"color", "level"}));
+TEST_F(PlannerRoutingTest, CostChosenAndForcedRoutesReturnIdenticalAnswers) {
+  // No result cache, so every Execute runs the route it was planned on.
+  QueryEngine::Config config;
+  config.cache_capacity = 0;
+  QueryEngine engine(&graph_, config);
+  engine.EnableMaterialization(ResolveAttributes(graph_, {"color", "level"}));
+  QueryEngine::PlanOptions materialized;
+  materialized.force_route = PlanRoute::kMaterializedDerivation;
+  QueryEngine::PlanOptions direct;
+  direct.force_route = PlanRoute::kDirectKernel;
 
   const std::vector<std::vector<std::string>> attr_sets = {
       {"color", "level"}, {"color"}, {"level"}};
   for (const auto& attrs : attr_sets) {
     for (std::size_t last : {std::size_t{0}, std::size_t{5}, std::size_t{39}}) {
       const QuerySpec spec = SpecOver(0, last, attrs);
-      const AggregateGraph via_rule = rule_engine.Execute(spec);
-      const AggregateGraph via_cost = cost_engine.Execute(spec);
-      EXPECT_EQ(via_rule, via_cost)
-          << "planner modes disagree on attrs=" << attrs.size()
+      const AggregateGraph chosen = engine.Execute(spec);
+      EXPECT_EQ(chosen, engine.Execute(spec, materialized))
+          << "cost-chosen vs materialized differ on attrs=" << attrs.size()
+          << ", last=" << last;
+      EXPECT_EQ(chosen, engine.Execute(spec, direct))
+          << "cost-chosen vs direct differ on attrs=" << attrs.size()
           << ", last=" << last;
     }
   }
 }
 
-TEST_F(PlannerRoutingTest, ExplainRendersBothEstimatesAndThePlanner) {
-  QueryEngine engine(&graph_, ConfigFor(PlannerMode::kCost));
+TEST_F(PlannerRoutingTest, ExplainRendersBothEstimates) {
+  QueryEngine engine(&graph_);
   engine.EnableMaterialization(ResolveAttributes(graph_, {"color", "level"}));
   const std::string explain = engine.Plan(SpecOver(0, 0, {"color"})).Explain();
-  EXPECT_NE(explain.find("planner=cost"), std::string::npos) << explain;
+  EXPECT_EQ(explain.find("planner="), std::string::npos) << explain;
   EXPECT_NE(explain.find("estimate direct="), std::string::npos) << explain;
   EXPECT_NE(explain.find("materialized="), std::string::npos) << explain;
 }

@@ -37,7 +37,6 @@ AggregateGraph DirectReference(const TemporalGraph& graph, const QuerySpec& spec
   AggregationOptions options;
   options.semantics = spec.semantics;
   options.filter = spec.filter;
-  options.grouping = spec.grouping;
   AggregateGraph agg = Aggregate(graph, view, spec.attrs, options);
   if (spec.symmetrize) return SymmetrizeAggregate(agg);
   return agg;
@@ -56,7 +55,7 @@ QuerySpec MakeSpec(TemporalOperatorKind op, IntervalSet t1, IntervalSet t2,
 
 /// A mixed corpus over a 6-point random graph: direct-only ops, derivable
 /// union/ALL specs (exercising subset layers), single-point projections, and
-/// fingerprint-hint variants — enough shapes that a small cache churns.
+/// a repeated spec — enough shapes that a small cache churns.
 std::vector<QuerySpec> StressCorpus(const TemporalGraph& graph,
                                     const std::vector<AttrRef>& base) {
   const std::size_t n = graph.num_times();
@@ -79,10 +78,8 @@ std::vector<QuerySpec> StressCorpus(const TemporalGraph& graph,
                             base, S::kAll));
   corpus.push_back(MakeSpec(K::kDifference, IntervalSet::Point(n, 0),
                             IntervalSet::Of(n, {4, 5}), {base[0]}, S::kAll));
-  // A hash-grouping hint twin of corpus[1]: same fingerprint, shares an entry.
-  QuerySpec hinted = corpus[1];
-  hinted.grouping = GroupingStrategy::kHash;
-  corpus.push_back(std::move(hinted));
+  // A twin of corpus[1]: same fingerprint, shares an entry.
+  corpus.push_back(corpus[1]);
   return corpus;
 }
 
@@ -104,6 +101,13 @@ TEST(EngineConcurrencyTest, ManyReadersMixedSpecs) {
   for (const QuerySpec& spec : corpus) {
     expected.push_back(DirectReference(graph, spec));
   }
+  // Odd iterations force the materialized route on derivable specs, so the
+  // subset layers are built and memoized under contention even where the
+  // cost model would answer this small graph directly.
+  QueryEngine::PlanOptions derive;
+  derive.force_route = PlanRoute::kMaterializedDerivation;
+  std::vector<bool> derivable;
+  for (const QuerySpec& spec : corpus) derivable.push_back(engine.Derivable(spec));
 
   SetParallelism(2);  // engine queries may fan out through the shared pool
   constexpr std::size_t kReaders = 6;
@@ -115,7 +119,9 @@ TEST(EngineConcurrencyTest, ManyReadersMixedSpecs) {
     readers.emplace_back([&, r] {
       for (std::size_t i = 0; i < kIterations; ++i) {
         const std::size_t pick = (r + i) % corpus.size();
-        AggregateGraph got = engine.Execute(corpus[pick]);
+        const bool forced = i % 2 == 1 && derivable[pick];
+        AggregateGraph got =
+            engine.Execute(corpus[pick], forced ? derive : QueryEngine::PlanOptions{});
         if (!(got == expected[pick])) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }

@@ -72,7 +72,6 @@ AggregateGraph DirectReference(const TemporalGraph& graph, const QuerySpec& spec
   AggregationOptions options;
   options.semantics = spec.semantics;
   options.filter = spec.filter;
-  options.grouping = spec.grouping;
   AggregateGraph agg = Aggregate(graph, view, spec.attrs, options);
   if (spec.symmetrize) return SymmetrizeAggregate(agg);
   return agg;
@@ -365,21 +364,6 @@ TEST(EngineFingerprintTest, SurvivesTimeDomainGrowth) {
   EXPECT_FALSE(before.EquivalentTo(other));
 }
 
-TEST(EngineFingerprintTest, GroupingIsAHintNotIdentity) {
-  // Dense vs hash grouping produce bit-identical results (determinism
-  // suite), so the hint must not split the cache key — otherwise dense and
-  // hash spellings of one query would duplicate entries and miss each
-  // other's hits.
-  QuerySpec spec = MakeSpec(TemporalOperatorKind::kUnion, IntervalSet::Range(4, 0, 2),
-                            IntervalSet::Point(4, 3), {AttrRef{}},
-                            AggregationSemantics::kAll);
-  spec.grouping = GroupingStrategy::kDense;
-  QuerySpec hashed = spec;
-  hashed.grouping = GroupingStrategy::kHash;
-  EXPECT_EQ(spec.Fingerprint(), hashed.Fingerprint());
-  EXPECT_TRUE(spec.EquivalentTo(hashed));
-}
-
 TEST(EngineFingerprintTest, DependencyIntervalCoversT2) {
   // A difference is *evaluated* on T1 but its answer also depends on T2's
   // data — the cache validity interval must cover both.
@@ -417,30 +401,6 @@ TEST(EngineCacheTest, RepeatedQueriesHit) {
   EXPECT_EQ(engine.cache_stats().misses, 2u);
   engine.Execute(spec);
   EXPECT_EQ(engine.cache_stats().hits, 2u);
-}
-
-TEST(EngineCacheTest, GroupingHintsShareOneEntry) {
-  // Dense and hash spellings of the same query are bit-identical, so they
-  // must share one cache entry: the hash spec hits the dense spec's result.
-  TemporalGraph graph = BuildRandomGraph(95, 40, 5);
-  QueryEngine engine(&graph);
-  QuerySpec dense = MakeSpec(TemporalOperatorKind::kUnion, IntervalSet::All(5),
-                             IntervalSet(5), ResolveAttributes(graph, {"color"}),
-                             AggregationSemantics::kAll);
-  dense.grouping = GroupingStrategy::kDense;
-  QuerySpec hashed = dense;
-  hashed.grouping = GroupingStrategy::kHash;
-
-  AggregateGraph first = engine.Execute(dense);
-  AggregateGraph second = engine.Execute(hashed);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(engine.cache_stats().misses, 1u);
-  EXPECT_EQ(engine.cache_stats().hits, 1u);
-
-  // The hint is still honored on a miss: a forced-hash spec plans the hash
-  // aggregation path even though it shares the dense spec's fingerprint.
-  EXPECT_EQ(engine.Plan(dense).Explain().find("nodes=hash"), std::string::npos);
-  EXPECT_NE(engine.Plan(hashed).Explain().find("nodes=hash"), std::string::npos);
 }
 
 TEST(EngineCacheTest, LruEvictsAtCapacity) {

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
 
 #include "core/aggregation.h"
 #include "core/operators.h"
+#include "obs/metrics.h"
 #include "test_graphs.h"
 
 namespace graphtempo {
@@ -157,23 +159,66 @@ TEST_F(ParallelTest, ConcurrentOwnersEachCompleteTheirOwnJob) {
   }
 }
 
-// Pool counters: a multi-chunk dispatch bumps jobs by 1 and chunks by the
-// chunk count; single-chunk partitions run inline and do not count.
-TEST_F(ParallelTest, PoolStatsCountJobsAndChunks) {
+// Regression: a worker used to look for a runnable job twice — once in its
+// wait predicate, once to fetch it — with chunk claiming in between left to
+// the lock-free owners. When an owner claimed the last chunk between the two
+// lookups, the second returned nullptr and the worker dereferenced it. Many
+// tiny jobs from concurrent owners, while the pool grows, hit that window
+// within the first few milliseconds. Each chunk spins briefly so a job is
+// still being claimed while the workers woken for it look it up.
+TEST_F(ParallelTest, WorkersNeverPickUpAJobClaimedOutFromUnderThem) {
+  SetParallelism(2);
+  constexpr std::size_t kOwners = 4;
+  constexpr std::size_t kRounds = 2000;
+  constexpr std::size_t kCount = 64;
+  constexpr int kSpin = 1000;
+  std::atomic<std::uint64_t> visits{0};
+  std::atomic<bool> owners_done{false};
+
+  std::thread grower([&] {
+    for (std::size_t threads = 3; threads <= 8 && !owners_done.load(); ++threads) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      SetParallelism(threads);
+    }
+  });
+  std::vector<std::thread> owners;
+  for (std::size_t o = 0; o < kOwners; ++o) {
+    owners.emplace_back([&] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        ParallelPartition partition(kCount, /*min_per_chunk=*/1, /*alignment=*/1);
+        partition.Run([&](std::size_t, std::size_t begin, std::size_t end) {
+          volatile int step = 1;  // a volatile read per turn keeps the loop
+          for (int spin = 0; spin < kSpin; spin += step) {
+          }
+          visits.fetch_add(end - begin, std::memory_order_relaxed);
+        });
+      }
+    });
+  }
+  for (auto& owner : owners) owner.join();
+  owners_done.store(true);
+  grower.join();
+
+  EXPECT_EQ(visits.load(), std::uint64_t{kOwners} * kRounds * kCount);
+}
+
+// Pool counters (registry `pool/jobs`, `pool/chunks`): a multi-chunk dispatch
+// bumps jobs by 1 and chunks by the chunk count; single-chunk partitions run
+// inline and do not count.
+TEST_F(ParallelTest, PoolCountersCountJobsAndChunks) {
   SetParallelism(4);
-  ResetPoolStats();
+  const obs::Registry& registry = obs::Registry::Instance();
+  const std::uint64_t jobs_before = registry.Snapshot().CounterValue("pool/jobs");
+  const std::uint64_t chunks_before = registry.Snapshot().CounterValue("pool/chunks");
   ParallelPartition multi(1000, /*min_per_chunk=*/16, /*alignment=*/1);
   ASSERT_GT(multi.num_chunks(), 1u);
   multi.Run([](std::size_t, std::size_t, std::size_t) {});
   ParallelPartition single(10, /*min_per_chunk=*/2048);
   ASSERT_EQ(single.num_chunks(), 1u);
   single.Run([](std::size_t, std::size_t, std::size_t) {});
-  PoolStats stats = GetPoolStats();
-  EXPECT_EQ(stats.jobs, 1u);
-  EXPECT_EQ(stats.chunks, multi.num_chunks());
-  ResetPoolStats();
-  EXPECT_EQ(GetPoolStats().jobs, 0u);
-  EXPECT_EQ(GetPoolStats().chunks, 0u);
+  obs::MetricsSnapshot after = registry.Snapshot();
+  EXPECT_EQ(after.CounterValue("pool/jobs") - jobs_before, 1u);
+  EXPECT_EQ(after.CounterValue("pool/chunks") - chunks_before, multi.num_chunks());
 }
 
 // The operators must produce bit-identical views at any thread count.

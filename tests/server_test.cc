@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "accel/backend.h"
+#include "core/aggregation.h"
 #include "engine/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -130,6 +131,43 @@ TEST_F(ServerTest, WireAnswersMatchDirectEngineCallsByteForByte) {
         reference_engine.Execute(*spec), options.top);
     EXPECT_EQ(served.body, direct) << request;
   }
+}
+
+// Regression: a request's "grouping":"dense" used to force the dense table,
+// and on an attribute set whose edge domain exceeds kDenseEdgePairsMax the
+// forced path aborted the whole server. The key is no longer bound: the
+// answer is byte-identical to the request without it and the server stays up.
+TEST(ServerGroupingTest, RetiredDenseHintOnAWideDomainAnswersLikeNoHint) {
+  TemporalGraph graph = graphtempo::testing::BuildRandomGraph(
+      /*seed=*/23, /*num_nodes=*/300, /*num_times=*/4, /*presence_p=*/0.5,
+      /*colors=*/40, /*levels=*/30, /*edge_p=*/0.05);
+  ASSERT_FALSE(
+      ResolveGrouping(graph, ResolveAttributes(graph, {"color", "level"})).dense_edges)
+      << "the edge domain must be too wide for the dense table";
+  engine::QueryEngine engine(&graph);
+  Server server(&graph, &engine, ServerConfig{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto fetch = [&](const std::string& method, const std::string& path,
+                   const std::string& body) {
+    std::optional<HttpResponse> response =
+        HttpFetch("127.0.0.1", server.port(), method, path, body, &error);
+    EXPECT_TRUE(response.has_value()) << error;
+    return response.value_or(HttpResponse{});
+  };
+
+  // The hinted request goes first, so it is the one that executes.
+  HttpResponse hinted = fetch(
+      "POST", "/query",
+      R"({"op":"project","t1":"t0","attrs":["color","level"],"grouping":"dense"})");
+  ASSERT_EQ(hinted.status, 200) << hinted.body;
+  HttpResponse plain =
+      fetch("POST", "/query", R"({"op":"project","t1":"t0","attrs":["color","level"]})");
+  ASSERT_EQ(plain.status, 200) << plain.body;
+  EXPECT_EQ(hinted.body, plain.body);
+  HttpResponse health = fetch("GET", "/healthz", "");
+  EXPECT_EQ(health.status, 200);
+  EXPECT_EQ(health.body, "ok\n");
 }
 
 TEST_F(ServerTest, ExplainReturnsPlanNotRows) {

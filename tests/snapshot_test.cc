@@ -388,12 +388,16 @@ TEST_F(SpillTierTest, EvictedLayerIsReloadedNotRecomputed) {
     spec.semantics = AggregationSemantics::kAll;
     return spec;
   };
+  // Pin the materialized route: these specs must go through the roll-up
+  // layers whatever the cost model would pick on so small a graph.
+  QueryEngine::PlanOptions derive;
+  derive.force_route = engine::PlanRoute::kMaterializedDerivation;
 
   // Build the {color} layer, then the {level} layer: with one resident slot
   // the first build spills to disk instead of being dropped.
   const obs::MetricsSnapshot start = obs::Registry::Instance().Snapshot();
-  const AggregateGraph first = engine.Execute(subset_union(base[0]));
-  engine.Execute(subset_union(base[1]));
+  const AggregateGraph first = engine.Execute(subset_union(base[0]), derive);
+  engine.Execute(subset_union(base[1]), derive);
   const obs::MetricsSnapshot after_build = obs::Registry::Instance().Snapshot();
   EXPECT_GT(after_build.CounterValue("engine/layer_spill") -
                 start.CounterValue("engine/layer_spill"),
@@ -403,7 +407,7 @@ TEST_F(SpillTierTest, EvictedLayerIsReloadedNotRecomputed) {
   // recomputation. ClearCache first so the result cache cannot answer.
   engine.ClearCache();
   const QueryEngine::DerivationStats rollups_before = engine.derivation_stats();
-  const AggregateGraph again = engine.Execute(subset_union(base[0]));
+  const AggregateGraph again = engine.Execute(subset_union(base[0]), derive);
   const QueryEngine::DerivationStats rollups_after = engine.derivation_stats();
   const obs::MetricsSnapshot after_reload = obs::Registry::Instance().Snapshot();
 
@@ -483,12 +487,16 @@ TEST_F(SpillTierTest, NoSpillDirectoryStillEvicts) {
     spec.semantics = AggregationSemantics::kAll;
     return spec;
   };
+  // Pin the materialized route: these specs must go through the roll-up
+  // layers whatever the cost model would pick on so small a graph.
+  QueryEngine::PlanOptions derive;
+  derive.force_route = engine::PlanRoute::kMaterializedDerivation;
 
-  const AggregateGraph first = engine.Execute(subset_union(base[0]));
-  engine.Execute(subset_union(base[1]));
+  const AggregateGraph first = engine.Execute(subset_union(base[0]), derive);
+  engine.Execute(subset_union(base[1]), derive);
   engine.ClearCache();
   const QueryEngine::DerivationStats before = engine.derivation_stats();
-  const AggregateGraph again = engine.Execute(subset_union(base[0]));
+  const AggregateGraph again = engine.Execute(subset_union(base[0]), derive);
   const QueryEngine::DerivationStats after = engine.derivation_stats();
   EXPECT_EQ(first, again);
   EXPECT_GT(after.rollups, before.rollups) << "dropped layers must recompute";

@@ -79,7 +79,6 @@ TEST_F(WireTest, BindsMinimalRequestWithDefaults) {
   ASSERT_TRUE(spec.has_value()) << error;
   EXPECT_EQ(spec->op, TemporalOperatorKind::kUnion);
   EXPECT_EQ(spec->semantics, AggregationSemantics::kDistinct);
-  EXPECT_EQ(spec->grouping, GroupingStrategy::kAuto);
   EXPECT_FALSE(spec->symmetrize);
   EXPECT_EQ(spec->t2, spec->t1);  // t2 falls back to t1, like the CLI
   EXPECT_FALSE(options.explain);
@@ -93,16 +92,34 @@ TEST_F(WireTest, BindsFullRequest) {
       graph_,
       Request(R"({"op":"intersection","t1":"t0..t1","t2":"t2",
                   "attrs":["gender","publications"],"semantics":"all",
-                  "grouping":"hash","symmetrize":true,"explain":true,"top":5})"),
+                  "symmetrize":true,"explain":true,"top":5})"),
       &options, &error);
   ASSERT_TRUE(spec.has_value()) << error;
   EXPECT_EQ(spec->op, TemporalOperatorKind::kIntersection);
   EXPECT_EQ(spec->semantics, AggregationSemantics::kAll);
-  EXPECT_EQ(spec->grouping, GroupingStrategy::kHash);
   EXPECT_TRUE(spec->symmetrize);
   EXPECT_EQ(spec->attrs.size(), 2u);
   EXPECT_TRUE(options.explain);
   EXPECT_EQ(options.top, 5u);
+}
+
+TEST_F(WireTest, BindIgnoresRetiredGroupingKey) {
+  // Grouping is chosen from the attribute domains alone; an old client's
+  // "grouping" key — any value — binds to the same query as its absence.
+  std::string error;
+  std::optional<QuerySpec> plain = BindQuerySpec(
+      graph_, Request(R"({"t1":"t0","attrs":["gender"]})"), nullptr, &error);
+  ASSERT_TRUE(plain.has_value()) << error;
+  for (const char* grouping : {R"("dense")", R"("hash")", R"("bogus")", "7"}) {
+    std::optional<QuerySpec> hinted = BindQuerySpec(
+        graph_,
+        Request(std::string(R"({"t1":"t0","attrs":["gender"],"grouping":)") +
+                grouping + "}"),
+        nullptr, &error);
+    ASSERT_TRUE(hinted.has_value()) << grouping << ": " << error;
+    EXPECT_TRUE(hinted->EquivalentTo(*plain)) << grouping;
+    EXPECT_EQ(hinted->Fingerprint(), plain->Fingerprint()) << grouping;
+  }
 }
 
 TEST_F(WireTest, BindRejectsMissingFields) {
@@ -190,25 +207,23 @@ TEST_F(WireTest, PlanToJsonRoundTripsCostRoutedPlans) {
       nullptr, &error);
   ASSERT_TRUE(spec.has_value()) << error;
 
-  QueryEngine::Config config;
-  config.planner = PlannerMode::kCost;
-  QueryEngine engine(&graph_, config);
+  QueryEngine engine(&graph_);
   engine.EnableMaterialization(ResolveAttributes(graph_, {"gender", "publications"}));
 
   std::optional<json::Value> parsed =
       json::Parse(PlanToJson(engine.Plan(*spec)), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->Find("planner")->AsString(), "cost");
+  EXPECT_EQ(parsed->Find("planner"), nullptr);  // one planner: nothing to name
   ASSERT_TRUE(parsed->Find("cost_direct_us")->is_number());
   EXPECT_GT(parsed->Find("cost_direct_us")->AsDouble(), 0.0);
   // Derivable spec with a fresh store: the materialized estimate is real.
   ASSERT_TRUE(parsed->Find("cost_materialized_us")->is_number());
   EXPECT_GT(parsed->Find("cost_materialized_us")->AsDouble(), 0.0);
-  EXPECT_NE(parsed->Find("explain")->AsString().find("planner=cost"),
+  EXPECT_NE(parsed->Find("explain")->AsString().find("estimate direct="),
             std::string::npos);
 
   // Without a store the materialized route is unavailable: null on the wire.
-  QueryEngine bare(&graph_, config);
+  QueryEngine bare(&graph_);
   std::optional<json::Value> unpriced =
       json::Parse(PlanToJson(bare.Plan(*spec)), &error);
   ASSERT_TRUE(unpriced.has_value()) << error;

@@ -60,7 +60,7 @@ commands:
   operate <graph.tsv> --op <union|intersection|difference|project>
           --t1 a[..b] [--t2 c[..d]] [--out sub.tsv]
   aggregate <graph.tsv> --attrs a,b [--op ...] [--t1 ...] [--t2 ...]
-          [--semantics dist|all] [--grouping auto|dense|hash] [--symmetric yes]
+          [--semantics dist|all] [--symmetric yes]
           [--materialize [yes|no]] [--explain [yes|no]] [--top N]
   evolution <graph.tsv> --attrs a,b --old a..b --new c..d [--top N]
           [--explain [yes|no]]
@@ -136,23 +136,15 @@ global options (any command):
                   GT_BACKEND environment variable). Hard error when the
                   backend is not compiled in or the CPU lacks the ISA;
                   results are bit-identical on every backend
-  --planner <rule|cost>  route selection for derivable queries
-                  (docs/ENGINE.md §Cost model): cost (the default here and in
-                  serve) prices the direct and materialized routes and takes
-                  the cheaper; rule restores the historical fixed
-                  derivable ⇒ materialized rule. Results are identical either
-                  way — only the route (and its latency) changes
 
 time points are labels ("2005") or indices ("5"); ranges are "2001..2004".
 
 query-engine options (aggregate / evolution / measure; docs/ENGINE.md):
-  --grouping <auto|dense|hash>  how Algorithm 2 groups tuples: auto picks the
-                  dense flat-array path when the attribute domains fit, dense
-                  forces it (aborts when the domain is too large), hash forces
-                  the hash-map reference path (aggregate only)
-  --explain [yes|no]  print the query plan — chosen route (direct kernels vs
-                  materialized derivation), grouping resolution and the step
-                  list — instead of executing; bare --explain means yes
+  --explain [yes|no]  print the query plan — the route the cost planner chose
+                  (direct kernels vs materialized derivation) with both
+                  routes' estimates, the grouping Algorithm 2 picks from the
+                  attribute domains (dense or hash), and the step list —
+                  instead of executing; bare --explain means yes
   --materialize [yes|no]  build per-time-point aggregates first so derivable
                   queries take the materialized route (aggregate only);
                   bare --materialize means yes. A store that lags the graph
@@ -438,7 +430,7 @@ int CmdImport(const Options& options, std::ostream& out, std::ostream& err) {
 // --- operate / aggregate / measure shared query-spec construction --------------
 
 /// Parses the operator half of a query — `--op`, `--t1`, `--t2` — into a
-/// `QuerySpec` (attributes/semantics/grouping left at defaults). Shared by
+/// `QuerySpec` (attributes/semantics left at defaults). Shared by
 /// every command that evaluates a temporal operator, so `operate`,
 /// `aggregate` and `measure` agree on defaults (union; `--t2` falling back to
 /// `--t1`, degenerating to "exists in T1").
@@ -487,20 +479,11 @@ std::optional<GraphView> BuildView(const TemporalGraph& graph, const Options& op
 }
 
 /// Engine configuration shared by every command that constructs a
-/// `QueryEngine`. The CLI (like the server) defaults to the cost-based
-/// planner; `--planner rule` restores the historical fixed rule. Garbage
-/// values are hard errors, consistent with the rest of the flag policy.
+/// `QueryEngine`. Garbage values are hard errors, consistent with the rest of
+/// the flag policy.
 std::optional<engine::QueryEngine::Config> BuildEngineConfig(const Options& options,
                                                              std::ostream& err) {
   engine::QueryEngine::Config config;
-  config.planner = engine::PlannerMode::kCost;
-  if (std::optional<std::string> raw = options.Get("planner")) {
-    std::string error;
-    if (!engine::ParsePlannerMode(*raw, &config.planner, &error)) {
-      err << "error: --planner " << error << "\n";
-      return std::nullopt;
-    }
-  }
   config.spill_dir = options.Get("spill-dir").value_or("");
   if (std::optional<std::string> raw = options.Get("spill-layers")) {
     std::uint64_t layers = 0;
@@ -583,18 +566,6 @@ int CmdAggregate(const Options& options, std::ostream& out, std::ostream& err) {
     spec->semantics = AggregationSemantics::kAll;
   } else {
     err << "error: --semantics must be dist or all\n";
-    return 1;
-  }
-
-  std::string grouping_raw = options.Get("grouping").value_or("auto");
-  if (grouping_raw == "auto") {
-    spec->grouping = GroupingStrategy::kAuto;
-  } else if (grouping_raw == "dense") {
-    spec->grouping = GroupingStrategy::kDense;
-  } else if (grouping_raw == "hash") {
-    spec->grouping = GroupingStrategy::kHash;
-  } else {
-    err << "error: --grouping must be auto, dense or hash\n";
     return 1;
   }
 
@@ -1836,8 +1807,7 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out, std::ostream
   std::size_t command_index = 0;
   while (command_index < args.size() &&
          (args[command_index] == "--threads" || args[command_index] == "--perf" ||
-          args[command_index] == "--trace" || args[command_index] == "--backend" ||
-          args[command_index] == "--planner")) {
+          args[command_index] == "--trace" || args[command_index] == "--backend")) {
     std::string name = args[command_index].substr(2);
     if (options.flags.count(name) != 0) {
       err << "error: flag --" << name << " given more than once\n";
@@ -1884,17 +1854,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out, std::ostream
     std::string error;
     if (!accel::SetActiveBackend(*backend_raw, &error)) {
       err << "error: --backend " << error << "\n";
-      return 1;
-    }
-  }
-  // --planner is consumed per-command (BuildEngineConfig), but garbage values
-  // are rejected up front so `--planner bogus` fails on every command, not
-  // only the engine-constructing ones.
-  if (std::optional<std::string> planner_raw = options.Get("planner")) {
-    engine::PlannerMode mode;
-    std::string error;
-    if (!engine::ParsePlannerMode(*planner_raw, &mode, &error)) {
-      err << "error: --planner " << error << "\n";
       return 1;
     }
   }

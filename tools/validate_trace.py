@@ -23,19 +23,18 @@ additionally report the executor counters as non-negative integers:
 `cache_hits`, `cache_misses` and `stale_fallbacks` (docs/ENGINE.md §3;
 `stale_fallbacks` counts planner degradations from a stale store to the
 direct route). The route-carrying engine records (`fig10_engine`,
-`fig11_engine`) must also state which `planner` (rule|cost) produced the
-route and report the shared-batch counters `batch_merged` and
-`batch_fold_hits` as non-negative integers (docs/ENGINE.md §Batch
+`fig11_engine`) must also report the shared-batch counters `batch_merged`
+and `batch_fold_hits` as non-negative integers (docs/ENGINE.md §Batch
 execution).
 
 Slow-log validation (docs/OBSERVABILITY.md §Slow-query log) checks that
 every line is one JSON object carrying the full attribution record: a
 positive integer `request_id`, a `0x`-prefixed 16-hex-digit `fingerprint`,
-non-empty `route` and `backend` strings, a `planner` in {rule, cost}, a
-`cache` outcome in {hit, miss, bypass}, booleans `stale_fallback` and
-`batched`, non-negative integers `total_us`, `kernel_words`,
-`shared_fold_hits` and `shared_fold_misses`, and a `phases` object of
-`{"total_us": int, "count": int}` entries.
+non-empty `route` and `backend` strings, a `cache` outcome in
+{hit, miss, bypass}, booleans `stale_fallback` and `batched`, non-negative
+integers `total_us`, `kernel_words`, `shared_fold_hits` and
+`shared_fold_misses`, and a `phases` object of `{"total_us": int,
+"count": int}` entries.
 
 Prometheus validation checks the text exposition `/metrics?format=prometheus`
 serves: every sample belongs to a `# TYPE` family, names are in the
@@ -161,12 +160,8 @@ def validate_bench_log(path):
                     ok = fail(f"{where}: engine record needs non-negative integer "
                               f"{counter!r}, got {value!r}")
         if record.get("bench") in ("fig10_engine", "fig11_engine"):
-            # Route-carrying engine records: the planning mode that produced
-            # the route, plus the shared-batch counters, are part of the
-            # contract (docs/ENGINE.md §Cost model, §Batch execution).
-            if record.get("planner") not in ("rule", "cost"):
-                ok = fail(f"{where}: engine record needs planner rule|cost, "
-                          f"got {record.get('planner')!r}")
+            # Route-carrying engine records: the shared-batch counters are
+            # part of the contract (docs/ENGINE.md §Batch execution).
             for counter in ("batch_merged", "batch_fold_hits"):
                 value = record.get(counter)
                 if not isinstance(value, int) or isinstance(value, bool) or value < 0:
@@ -222,8 +217,6 @@ def validate_slow_log(path):
             value = record.get(key)
             if not isinstance(value, str) or not value:
                 ok = fail(f"{where}: {key} must be a non-empty string, got {value!r}")
-        if record.get("planner") not in ("rule", "cost"):
-            ok = fail(f"{where}: planner must be rule|cost, got {record.get('planner')!r}")
         if record.get("cache") not in ("hit", "miss", "bypass"):
             ok = fail(f"{where}: cache must be hit/miss/bypass, got {record.get('cache')!r}")
         for key in ("stale_fallback", "batched"):
